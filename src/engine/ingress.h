@@ -1,9 +1,8 @@
 // Multi-producer ingestion sessions for the streaming engine.
 //
-// The engine's original submit() was single-producer: one caller owning
-// the global clock. A real service is fed by many uncoordinated sources,
-// so ingestion is organized around sessions: each producer opens an
-// IngressSession (StreamingEngine::open_producer()) and submits its own
+// A real service is fed by many uncoordinated sources, so ingestion is
+// organized around sessions: each producer opens an IngressSession
+// (StreamingEngine::open_producer()) and submits its own
 // strictly-increasing-time subsequence from its own thread. The session
 // stamps every submission with the producer id and a per-producer
 // monotone sequence number; shard workers merge the per-producer FIFO
@@ -12,20 +11,16 @@
 // ("Ingestion sessions") derives why this keeps the N-producer run
 // bit-identical to the serial service regardless of thread interleaving.
 //
-// The primary submission API is BATCHED: submit_span() stamps, sequences,
-// and enqueues a whole span of records under one queue operation per
-// shard (one ring publication, or one mutex acquisition on the
-// queue=mutex A/B path). The single-record submit() survives as a
-// one-element forwarding shim for call sites that genuinely have one
-// record in hand — it is deprecated in favour of spans.
+// The submission API is BATCHED: submit_span() stamps, sequences, and
+// publishes a whole span of records with one ring publication per shard
+// touched.
 //
-// Transport (EngineConfig::queue):
-//  * kSpsc (default): one lock-free SpscRing per producer×shard — each
-//    lane has exactly one writer (the session) and one reader (the shard
-//    worker), so the hot path is wait-free loads/stores (spsc_ring.h
-//    carries the memory-ordering proof). kSpill overflow lives in a
-//    mutex-guarded side-car touched only when a ring is actually full.
-//  * kMutex: the PR-6 BoundedMpscQueue, kept for A/B comparison.
+// Transport: one SpscLane per producer×shard — a lock-free SpscRing with
+// exactly one writer (the session) and one reader (the shard worker), so
+// the hot path is wait-free loads/stores (spsc_ring.h carries the
+// memory-ordering proof), plus a mutex-guarded kSpill side-car touched
+// only when the ring is full. SpscLane owns both halves of the lane-FIFO
+// rule: the producer's policy push and the worker's drain order.
 //
 // Threading contract:
 //  * open_producer() calls must all happen before the first submit
@@ -38,15 +33,20 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <mutex>
 #include <span>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
+#include "engine/engine_config.h"
 #include "engine/spsc_ring.h"
 #include "model/request.h"
+#include "util/contracts.h"
 #include "util/types.h"
 
 namespace mcdc {
@@ -67,11 +67,11 @@ struct ProducerState {
   std::uint32_t id = 0;
 
   /// Highest time this producer has finished submitting (stored with
-  /// release order *after* the enqueue). A shard worker that snapshots
+  /// release order *after* the lane push). A shard worker that snapshots
   /// the watermark before draining its lane is guaranteed to have seen
   /// every record from this producer with time <= the snapshot — the
   /// merge-safety argument in docs/ENGINE.md. With submit_span the store
-  /// happens once per span (after every shard bucket is enqueued), value
+  /// happens once per span (after every shard bucket is pushed), value
   /// = the span's last time.
   std::atomic<double> watermark{0.0};
 
@@ -88,14 +88,14 @@ struct ProducerState {
   std::uint64_t credit_wait_ns = 0;    ///< wall time spent in throttle yields
                                        ///< (measured only with telemetry on)
 
-  /// This producer's ring lane on each shard (index = shard; empty in
-  /// queue=mutex mode). Shard-owned; filled at open_producer.
+  /// This producer's ring lane on each shard (index = shard). Shard-owned;
+  /// filled at open_producer.
   std::vector<SpscLane*> lanes;
 
   /// Producer-thread-only per-shard routing buckets for submit_span:
   /// records are stamped into their shard's bucket, then each non-empty
-  /// bucket is enqueued in one operation. Capacity grows to the largest
-  /// span ever routed (amortized; no steady-state allocation).
+  /// bucket is pushed into its lane in one operation. Capacity grows to
+  /// the largest span ever routed (amortized; no steady-state allocation).
   std::vector<std::vector<IngressRecord>> scratch;
 
   // Registry handles (created at open_producer when an observer with a
@@ -106,14 +106,8 @@ struct ProducerState {
   obs::Counter* m_credit_wait_ns = nullptr;  ///< telemetry only
 };
 
-/// One element of a shard's ingest lane: a stamped request, or (on the
-/// queue=mutex path only) a control marker bracketing a producer's
-/// lifetime. The spsc path needs no control records: lanes are registered
-/// directly at open_producer and a closed lane is state->closed + empty
-/// ring.
+/// One element of a shard's ingest lane: a stamped request.
 struct IngressRecord {
-  enum class Kind : std::uint8_t { kRequest, kOpen, kClose };
-
   int item = 0;
   ServerId server = 0;
   Time time = 0.0;
@@ -124,34 +118,51 @@ struct IngressRecord {
   /// deterministic merge orders strictly by (time, producer, seq) and
   /// never consults wall-clock stamps (bit-identity is stamp-blind).
   std::uint64_t submit_ns = 0;
-  Kind kind = Kind::kRequest;
-  ProducerState* state = nullptr;  ///< non-null only on kOpen
 };
 
-// Queue-slot layout guards: records are copied between producer threads,
+// Lane-slot layout guards: records are copied between producer threads,
 // ring buffers, and merge lanes by the millions — they must stay memcpy-
-// safe, and a silent size/alignment change would shift every queue
+// safe, and a silent size/alignment change would shift every lane
 // capacity and resident-bytes figure the benches report.
 static_assert(std::is_trivially_copyable_v<IngressRecord>,
-              "IngressRecord must be memcpy-safe (queue/merge-lane slots)");
-static_assert(sizeof(IngressRecord) == 56 && alignof(IngressRecord) == 8,
-              "IngressRecord layout changed — revisit queue capacity and "
+              "IngressRecord must be memcpy-safe (ring/merge-lane slots)");
+static_assert(sizeof(IngressRecord) == 40 && alignof(IngressRecord) == 8,
+              "IngressRecord layout changed — revisit lane capacity and "
               "resident-bytes accounting before accepting the new size");
 
-/// One producer×shard ingest lane (queue=spsc): a wait-free ring plus the
-/// spill side-car and the lane's share of QueueStats. Owned by the shard;
-/// the producer holds a raw pointer (ProducerState::lanes).
+// A blocked producer (kBlock on a full ring) or an idle worker yields this
+// many times before conceding the timeslice with a sleep — cheap
+// reactivity when the other side is running, bounded burn when it is not
+// (matters on few-core hosts where producer and worker share a core).
+inline constexpr std::size_t kSpinYields = 64;
+
+// The sleep between re-checks once the yields are spent. Ring tails and
+// watermarks advance without signalling (a push is just a store), so the
+// waiting side polls.
+inline constexpr std::chrono::microseconds kStallRecheck{200};
+
+/// One producer×shard ingest lane: a wait-free ring plus the kSpill
+/// side-car and the lane's share of QueueStats. Owned by the shard; the
+/// producer holds a raw pointer (ProducerState::lanes).
+///
+/// The lane is a strict FIFO across ring and side-car. Two rules keep it
+/// so, one per side, both implemented here:
+///  * push_span (producer) uses the ring only while the side-car is
+///    empty, so a parked record is never overtaken by a later ring push;
+///  * drain (worker) reads the side-car count BEFORE it drains the ring,
+///    and splices only if that count was non-zero (see drain()).
 ///
 /// Counter ownership is single-writer by design: `enqueued`, `dropped`,
 /// `spilled`, `stalls` are written by the producer thread only and read
 /// by the shard only after the worker joined (the drain snapshot);
 /// `max_depth_seen` is worker-only. No atomics needed, no torn reads
-/// possible — stats() publishes one post-quiesce snapshot, like the PR-6
-/// mutex queue's under-one-lock copy.
+/// possible — the shard publishes one post-quiesce snapshot.
 struct SpscLane {
-  explicit SpscLane(std::size_t capacity) : ring(capacity) {}
+  SpscLane(std::size_t capacity, BackpressurePolicy backpressure)
+      : ring(capacity), policy(backpressure) {}
 
   SpscRing<IngressRecord> ring;
+  const BackpressurePolicy policy;
   ProducerState* state = nullptr;
 
   // Producer-thread-only counters (read at drain, after quiesce).
@@ -164,10 +175,8 @@ struct SpscLane {
   /// records here (FIFO) instead of blocking or dropping. The mutex is
   /// touched ONLY on that overflow path and by the worker's splice; the
   /// common path stays lock-free. `overflow_count` mirrors the deque size
-  /// so both sides can check emptiness without the lock. Ordering: the
-  /// producer never pushes to the ring while overflow is non-empty, and
-  /// the worker splices overflow only after fully draining the ring —
-  /// together that keeps the lane FIFO exact (docs/ENGINE.md).
+  /// so both sides can check emptiness without the lock; the producer
+  /// raises it, only the worker clears it.
   std::mutex spill_mu;
   std::deque<IngressRecord> overflow;
   std::atomic<std::size_t> overflow_count{0};
@@ -175,6 +184,93 @@ struct SpscLane {
   // Worker-side high-water sample of this lane's depth (ring + overflow),
   // taken at each drain; summed across lanes at the final snapshot.
   std::size_t max_depth_seen = 0;
+
+  /// Producer side: push `n` stamped records under the lane's policy, in
+  /// one ring publication when they fit. kBlock spins until the worker
+  /// makes room, kDrop rejects the tail that does not fit, kSpill parks it
+  /// in the side-car. Returns records accepted (== n except under kDrop).
+  /// The lane's producer thread only.
+  std::size_t push_span(const IngressRecord* data, std::size_t n) {
+    if (n == 0) return 0;
+    switch (policy) {
+      case BackpressurePolicy::kBlock: {
+        std::size_t done = ring.try_push_span(data, n);
+        if (done < n) {
+          // One stall episode per span. The worker always drains rings
+          // (even merge-stalled or after a failure), so this terminates.
+          ++stalls;
+          std::size_t spins = 0;
+          while (done < n) {
+            if (++spins <= kSpinYields) {
+              std::this_thread::yield();
+            } else {
+              std::this_thread::sleep_for(kStallRecheck);
+            }
+            done += ring.try_push_span(data + done, n - done);
+          }
+        }
+        enqueued += n;
+        return n;
+      }
+      case BackpressurePolicy::kDrop: {
+        const std::size_t done = ring.try_push_span(data, n);
+        dropped += n - done;
+        enqueued += done;
+        return done;
+      }
+      case BackpressurePolicy::kSpill: {
+        // Lossless overflow. A producer-side read of 0 is exact ("the
+        // worker spliced everything I ever parked"), because only the
+        // worker lowers the count.
+        std::size_t done = 0;
+        if (overflow_count.load(std::memory_order_relaxed) == 0) {
+          done = ring.try_push_span(data, n);
+        }
+        if (done < n) {
+          const std::lock_guard<std::mutex> lk(spill_mu);
+          overflow.insert(overflow.end(), data + done, data + n);
+          overflow_count.store(overflow.size(), std::memory_order_release);
+          spilled += n - done;
+        }
+        enqueued += n;
+        return n;
+      }
+    }
+    MCDC_UNREACHABLE("bad BackpressurePolicy %d", static_cast<int>(policy));
+  }
+
+  /// Worker side: hand every record the lane holds to `sink`, in lane
+  /// FIFO order — the ring, then the side-car. Returns records consumed.
+  ///
+  /// The side-car count is acquire-loaded BEFORE the ring drain. If it is
+  /// non-zero, the producer cannot touch the ring until the splice below
+  /// clears it, so every ring record is older than every parked one. If it
+  /// is zero, records parked during this drain wait for the next one,
+  /// which drains the ring prefix published with them first. Loading the
+  /// count after the ring drain instead would let a producer push a span's
+  /// prefix into the ring and park its tail in between, and the splice
+  /// would emit that tail ahead of the prefix.
+  template <typename Sink>
+  std::size_t drain(Sink&& sink) {
+    const std::size_t parked = overflow_count.load(std::memory_order_acquire);
+    const std::size_t depth = ring.size_approx() + parked;
+    if (depth > max_depth_seen) max_depth_seen = depth;
+    std::size_t got = ring.consume_all(sink);
+    if (parked > 0) {
+      const std::lock_guard<std::mutex> lk(spill_mu);
+      for (const IngressRecord& r : overflow) sink(r);
+      got += overflow.size();
+      overflow.clear();
+      overflow_count.store(0, std::memory_order_relaxed);
+    }
+    return got;
+  }
+
+  /// Instantaneous depth (ring + side-car); a gauge, racy by nature.
+  std::size_t depth_approx() const {
+    return ring.size_approx() +
+           overflow_count.load(std::memory_order_relaxed);
+  }
 };
 
 /// A producer's handle into the engine. Move-only; single-threaded;
@@ -194,26 +290,20 @@ class IngressSession {
 
   std::uint32_t id() const;
 
-  /// THE ingestion API: stamp, sequence, and enqueue a whole span of
-  /// records under one queue operation per shard touched. Validation is
+  /// THE ingestion API: stamp, sequence, and push a whole span of records
+  /// with one lane publication per shard touched. Validation is
   /// atomic — the entire span is checked (servers in range, times
   /// strictly increasing within the span and beyond this session's last
-  /// time) before ANY record is enqueued, so a bad span throws
+  /// time) before ANY record is pushed, so a bad span throws
   /// std::invalid_argument with nothing partially submitted. Throws
   /// std::logic_error once closed. An empty span is a no-op (returns 0
   /// without starting ingest). Returns the number of records accepted:
   /// == batch.size() unless kDrop backpressure rejected some.
   std::size_t submit_span(std::span<const MultiItemRequest> batch);
 
-  /// One-record compatibility shim over submit_span(). Returns false iff
-  /// the record was dropped by kDrop backpressure.
-  [[deprecated(
-      "submit() forwards one record through submit_span(); batch your "
-      "records and call submit_span() directly")]]
-  bool submit(int item, ServerId server, Time time);
-
-  /// Announce end-of-stream: flushes any spill overflow and releases the
-  /// merge from waiting on this producer's watermark. Idempotent;
+  /// Announce end-of-stream: releases the merge from waiting on this
+  /// producer's watermark (workers still drain whatever the lanes hold,
+  /// spill side-cars included). Idempotent;
   /// finish() force-closes any session left open.
   void close();
 

@@ -20,17 +20,6 @@ BackpressurePolicy effective_policy(const EngineConfig& cfg) {
   return cfg.policy;
 }
 
-// How long a merge-stalled (or idle ring-polling) worker sleeps between
-// re-checks. Watermarks and ring tails advance without signalling this
-// shard (a ring push is just a store), so the waiting states poll.
-constexpr std::chrono::microseconds kStallRecheck{200};
-
-// A blocked/idle spinner yields this many times before conceding the
-// timeslice with a sleep — cheap reactivity when the other side is
-// running, bounded burn when it is not (matters on few-core hosts where
-// producer and worker share a core).
-constexpr std::size_t kSpinYields = 64;
-
 // Stage spans retained per shard for the Chrome-trace export (newest
 // win; SpanRing counts what overflow displaced).
 constexpr std::size_t kSpanRingCapacity = 8192;
@@ -48,13 +37,9 @@ EngineShard::EngineShard(int index, int num_servers, const ServingCostModel& cm,
                          obs::MetricsRegistry* telemetry_registry)
     : index_(index),
       deterministic_(cfg.deterministic),
-      max_batch_(cfg.max_batch),
-      queue_kind_(cfg.queue),
       policy_(effective_policy(cfg)),
       lane_capacity_(cfg.queue_capacity),
-      service_(num_servers, cm, options),
-      queue_(cfg.queue_capacity, effective_policy(cfg)) {
-  batch_buf_.reserve(cfg.max_batch);
+      service_(num_servers, cm, options) {
   obs::Observer* ob = options.observer;
   // With telemetry on the engine always supplies a registry (the
   // observer's, or an engine-owned fallback); otherwise per-shard metrics
@@ -86,9 +71,8 @@ EngineShard::EngineShard(int index, int num_servers, const ServingCostModel& cm,
 EngineShard::~EngineShard() {
   // Abandoned (engine destroyed before finish()): unblock and join the
   // worker; any failure it recorded dies with us. The engine has already
-  // marked every producer closed, so the spsc worker's drain terminates.
+  // marked every producer closed, so the worker's drain terminates.
   if (!joined_) {
-    queue_.value.close();
     {
       const std::lock_guard<std::mutex> lk(lanes_mu_);
       stop_.store(true, std::memory_order_release);
@@ -103,19 +87,11 @@ void EngineShard::start() {
   worker_ = std::thread([this] { run(); });
 }
 
-bool EngineShard::enqueue(const IngressRecord& r) {
-  return queue_.value.push(r);
-}
-
-void EngineShard::enqueue_control(const IngressRecord& r) {
-  queue_.value.push_control(r);
-}
-
 SpscLane* EngineShard::add_lane(ProducerState* p) {
   const std::lock_guard<std::mutex> lk(lanes_mu_);
   MCDC_ASSERT(!lanes_frozen_.load(std::memory_order_relaxed),
               "shard %d: lane added after ingest started", index_);
-  spsc_lanes_.push_back(std::make_unique<SpscLane>(lane_capacity_));
+  spsc_lanes_.push_back(std::make_unique<SpscLane>(lane_capacity_, policy_));
   spsc_lanes_.back()->state = p;
   return spsc_lanes_.back().get();
 }
@@ -128,187 +104,7 @@ void EngineShard::freeze_lanes() {
   lanes_cv_.notify_all();
 }
 
-std::size_t EngineShard::lane_push_span(SpscLane& lane,
-                                        const IngressRecord* data,
-                                        std::size_t n) {
-  if (n == 0) return 0;
-  switch (policy_) {
-    case BackpressurePolicy::kBlock: {
-      std::size_t done = lane.ring.try_push_span(data, n);
-      if (done < n) {
-        // One stall episode per span, like the mutex queue's one condvar
-        // wait per full-queue push. The worker always drains rings (even
-        // merge-stalled or after a failure), so this loop terminates.
-        ++lane.stalls;
-        std::size_t spins = 0;
-        while (done < n) {
-          if (++spins <= kSpinYields) {
-            std::this_thread::yield();
-          } else {
-            std::this_thread::sleep_for(kStallRecheck);
-          }
-          done += lane.ring.try_push_span(data + done, n - done);
-        }
-      }
-      lane.enqueued += n;
-      return n;
-    }
-    case BackpressurePolicy::kDrop: {
-      const std::size_t done = lane.ring.try_push_span(data, n);
-      lane.dropped += n - done;
-      lane.enqueued += done;
-      return done;
-    }
-    case BackpressurePolicy::kSpill: {
-      // Lossless overflow: records that do not fit park in the locked
-      // side-car. The ring is only used while the side-car is empty —
-      // otherwise ring records could overtake parked ones and break the
-      // lane's FIFO. overflow_count is producer-raised / worker-cleared,
-      // so a producer-side read of 0 is exact ("the worker spliced
-      // everything I ever parked").
-      std::size_t done = 0;
-      if (lane.overflow_count.load(std::memory_order_relaxed) == 0) {
-        done = lane.ring.try_push_span(data, n);
-      }
-      if (done < n) {
-        const std::lock_guard<std::mutex> lk(lane.spill_mu);
-        lane.overflow.insert(lane.overflow.end(), data + done, data + n);
-        lane.overflow_count.store(lane.overflow.size(),
-                                  std::memory_order_release);
-        lane.spilled += n - done;
-      }
-      lane.enqueued += n;
-      return n;
-    }
-  }
-  MCDC_UNREACHABLE("bad BackpressurePolicy %d", static_cast<int>(policy_));
-}
-
 void EngineShard::run() {
-  if (queue_kind_ == QueueKind::kSpsc) {
-    run_spsc();
-  } else {
-    run_mutex();
-  }
-}
-
-void EngineShard::run_mutex() {
-  try {
-    // Telemetry branches key off this one flag; with telemetry off the
-    // loop takes no clock reads and touches none of the rings.
-    const bool tele = (spans_ != nullptr);
-    bool stalled = false;
-    for (;;) {
-      batch_buf_.clear();
-      bool closed = false;
-      std::size_t got = 0;
-      if (stalled) {
-        // Merge is waiting on a lagging producer's watermark; wake on new
-        // records or on the poll interval, whichever comes first.
-        got = queue_.value.pop_batch_for(batch_buf_, max_batch_, kStallRecheck);
-        if (got == 0 && queue_.value.closed_and_drained()) closed = true;
-      } else {
-        got = queue_.value.pop_batch(batch_buf_, max_batch_);
-        if (got == 0) closed = true;  // pop_batch: 0 iff closed-and-drained
-      }
-      std::uint64_t t_deq = 0;
-      if (tele) {
-        t_deq = obs::telemetry_now_ns();
-        last_deq_ns_ = t_deq;
-        batch_min_submit_ns_ = ~std::uint64_t{0};
-        batch_requests_ = 0;
-      }
-      demux(batch_buf_, t_deq);
-      std::size_t total = got;
-      if (producers_seen_ > 1) {
-        // Merge-safety protocol: snapshot every open lane's watermark,
-        // THEN drain the queue completely. Afterwards any record with
-        // time <= its lane's snapshot is demultiplexed (the producer
-        // stores the watermark with release order only after the push),
-        // so an empty lane with wm_snap >= t provably has nothing at or
-        // before t anywhere — its head may be overtaken.
-        for (Lane& lane : lanes_) {
-          if (lane.open && !lane.closed && lane.state != nullptr) {
-            lane.wm_snap =
-                lane.state->watermark.load(std::memory_order_acquire);
-          }
-        }
-        batch_buf_.clear();
-        const std::size_t more = queue_.value.try_pop_all(batch_buf_);
-        if (more > 0) {
-          if (tele) last_deq_ns_ = obs::telemetry_now_ns();
-          demux(batch_buf_, last_deq_ns_);
-        }
-        total += more;
-      }
-      if (total > 0) {
-        ++batch_stats_.batches;
-        batch_stats_.requests += total;
-        if (total > batch_stats_.max_batch) batch_stats_.max_batch = total;
-        if (batch_size_ != nullptr) {
-          batch_size_->observe(static_cast<double>(total));
-        }
-        if (queue_depth_ != nullptr) {
-          queue_depth_->set(static_cast<double>(queue_.value.stats().depth));
-        }
-      }
-      if (producers_seen_ > 1 || merge_buffered_ > 0) {
-        stalled = process_eligible(closed);
-        if (merge_depth_ != nullptr) {
-          merge_depth_->set(static_cast<double>(merge_buffered_));
-        }
-      }
-      if (tele) {
-        const std::uint64_t t_end = obs::telemetry_now_ns();
-        if (batch_requests_ > 0) {
-          // One queue-wait span per batch: oldest submit stamp to
-          // dequeue (per-record detail lives in the histogram).
-          const std::uint64_t dur = last_deq_ns_ > batch_min_submit_ns_
-                                        ? last_deq_ns_ - batch_min_submit_ns_
-                                        : 0;
-          spans_->push({"queue_wait", batch_min_submit_ns_, dur,
-                        batch_requests_});
-        }
-        if (total > 0) {
-          // Apply covers dequeue through merge + service updates for
-          // everything this iteration emitted.
-          const std::uint64_t dur = t_end - t_deq;
-          apply_ns_->record(dur);
-          spans_->push({"apply", t_deq, dur, total});
-        }
-        // Merge-stall episodes: opened when the merge first parks on a
-        // lagging watermark, closed when it unstalls (or flushes).
-        if (stalled && stall_started_ns_ == 0) {
-          stall_started_ns_ = t_end;
-        } else if (!stalled && stall_started_ns_ != 0) {
-          const std::uint64_t dur = t_end - stall_started_ns_;
-          merge_stall_ns_->record(dur);
-          spans_->push({"merge_stall", stall_started_ns_, dur, 0});
-          stall_started_ns_ = 0;
-        }
-        if (shard_resident_bytes_ != nullptr && total > 0 &&
-            (++telemetry_batches_ % kResidentRefreshBatches) == 0) {
-          shard_resident_bytes_->set(
-              static_cast<double>(service_.value.resident_bytes()));
-        }
-      }
-      if (batch_emitted_ > 0) {
-        if (requests_ != nullptr) requests_->inc(batch_emitted_);
-        batch_emitted_ = 0;
-      }
-      flush_retired();
-      if (closed) break;
-    }
-  } catch (...) {
-    failure_ = std::current_exception();
-    // Keep draining so a kBlock producer stalled on our full queue cannot
-    // deadlock; the exception resurfaces from drain_and_finish().
-    std::vector<IngressRecord> discard;
-    while (queue_.value.pop_batch(discard, 1024) > 0) discard.clear();
-  }
-}
-
-void EngineShard::run_spsc() {
   // Lanes are registered (open_producer) strictly before the first
   // submit; the freeze at that first submit seals the vector, so the loop
   // below reads it without locks.
@@ -321,15 +117,18 @@ void EngineShard::run_spsc() {
   }
   if (!lanes_frozen_.load(std::memory_order_acquire)) return;  // no ingest
   try {
+    // Telemetry branches key off this one flag; with telemetry off the
+    // loop takes no clock reads and touches none of the rings.
     const bool tele = (spans_ != nullptr);
-    // Merge lanes mirror the registered spsc lanes (all known up front —
-    // the spsc path needs no kOpen control records).
+    // Merge lanes mirror the registered lanes, indexed by producer id.
+    // Every producer registers on every shard, so the ids are dense.
     producers_seen_ = spsc_lanes_.size();
+    lanes_.resize(producers_seen_);
     for (const std::unique_ptr<SpscLane>& l : spsc_lanes_) {
-      const std::uint32_t id = l->state->id;
-      if (id >= lanes_.size()) lanes_.resize(id + 1);
-      lanes_[id].open = true;
-      lanes_[id].state = l->state;
+      MCDC_ASSERT(l->state->id < lanes_.size(),
+                  "shard %d: producer id %u outside the lane set", index_,
+                  l->state->id);
+      lanes_[l->state->id].state = l->state;
     }
     const bool single = producers_seen_ <= 1;
     if (single) soa_.reserve(lane_capacity_ + 1);
@@ -342,7 +141,7 @@ void EngineShard::run_spsc() {
       bool all_closed = true;
       for (const std::unique_ptr<SpscLane>& l : spsc_lanes_) {
         if (l->state->closed.load(std::memory_order_acquire)) {
-          if (!lanes_[l->state->id].closed) lanes_[l->state->id].closed = true;
+          lanes_[l->state->id].closed = true;
         } else {
           all_closed = false;
         }
@@ -355,13 +154,13 @@ void EngineShard::run_spsc() {
         batch_requests_ = 0;
       }
       if (!single) {
-        // Merge-safety protocol, ring edition: snapshot every open lane's
-        // watermark, THEN fully drain every ring (and spill side-car).
-        // The producer's watermark release-store follows its pushes, so a
+        // Merge-safety protocol: snapshot every open lane's watermark,
+        // THEN fully drain every ring (and spill side-car). The
+        // producer's watermark release-store follows its pushes, so a
         // snapshot >= t guarantees the drain below sees every record at
         // or before t — an empty lane with wm_snap >= t may be overtaken.
         for (Lane& lane : lanes_) {
-          if (lane.open && !lane.closed && lane.state != nullptr) {
+          if (!lane.closed) {
             lane.wm_snap =
                 lane.state->watermark.load(std::memory_order_acquire);
           }
@@ -457,13 +256,7 @@ void EngineShard::run_spsc() {
       const bool stopping = stop_.load(std::memory_order_acquire);
       std::size_t got = 0;
       for (const std::unique_ptr<SpscLane>& l : spsc_lanes_) {
-        got += l->ring.consume_all([](const IngressRecord&) {});
-        if (l->overflow_count.load(std::memory_order_acquire) > 0) {
-          const std::lock_guard<std::mutex> lk(l->spill_mu);
-          got += l->overflow.size();
-          l->overflow.clear();
-          l->overflow_count.store(0, std::memory_order_relaxed);
-        }
+        got += l->drain([](const IngressRecord&) {});
       }
       if (stopping) break;
       if (got == 0) std::this_thread::sleep_for(kStallRecheck);
@@ -473,16 +266,11 @@ void EngineShard::run_spsc() {
 
 std::size_t EngineShard::drain_lane(SpscLane& src, Lane& ml, bool single,
                                     std::uint64_t deq_ns) {
-  // High-water sample (worker-only): lane depth just before the drain.
-  const std::size_t depth =
-      src.ring.size_approx() +
-      src.overflow_count.load(std::memory_order_relaxed);
-  if (depth > src.max_depth_seen) src.max_depth_seen = depth;
   const bool tele = (queue_wait_ns_ != nullptr);
   auto sink = [&](const IngressRecord& r) {
     // Per-lane replay order: a session's stream reaches its shard as a
     // strictly-increasing (time, seq) FIFO — across the ring AND the
-    // spill side-car (the producer never interleaves them out of order).
+    // spill side-car (SpscLane::drain keeps them in order).
     MCDC_INVARIANT(!ml.saw_any ||
                        (r.time > ml.last_time && r.seq > ml.last_seq),
                    "shard %d: lane %u order broken at t=%.12g seq=%llu",
@@ -515,90 +303,7 @@ std::size_t EngineShard::drain_lane(SpscLane& src, Lane& ml, bool single,
       }
     }
   };
-  std::size_t got = src.ring.consume_all(sink);
-  // Spill side-car: spliced only after the ring is fully drained. Ring
-  // content is always older than parked content (the producer never
-  // pushes to the ring while its side-car is non-empty), so this order
-  // preserves the lane's FIFO exactly.
-  if (src.overflow_count.load(std::memory_order_acquire) > 0) {
-    const std::lock_guard<std::mutex> lk(src.spill_mu);
-    for (const IngressRecord& r : src.overflow) sink(r);
-    got += src.overflow.size();
-    src.overflow.clear();
-    src.overflow_count.store(0, std::memory_order_relaxed);
-  }
-  return got;
-}
-
-void EngineShard::demux(const std::vector<IngressRecord>& batch,
-                        std::uint64_t deq_ns) {
-  for (const IngressRecord& r : batch) {
-    switch (r.kind) {
-      case IngressRecord::Kind::kOpen: {
-        // Sessions must all be opened before the first submit, so by FIFO
-        // every kOpen precedes every data record on this queue.
-        MCDC_INVARIANT(processed_ == 0 && merge_buffered_ == 0,
-                       "shard %d: producer %u opened after ingest started",
-                       index_, r.producer);
-        if (r.producer >= lanes_.size()) lanes_.resize(r.producer + 1);
-        Lane& lane = lanes_[r.producer];
-        MCDC_INVARIANT(!lane.open, "shard %d: producer %u opened twice",
-                       index_, r.producer);
-        lane.open = true;
-        lane.state = r.state;
-        ++producers_seen_;
-        break;
-      }
-      case IngressRecord::Kind::kClose: {
-        MCDC_INVARIANT(r.producer < lanes_.size() && lanes_[r.producer].open,
-                       "shard %d: close for unknown producer %u", index_,
-                       r.producer);
-        lanes_[r.producer].closed = true;
-        break;
-      }
-      case IngressRecord::Kind::kRequest: {
-        MCDC_INVARIANT(r.producer < lanes_.size() && lanes_[r.producer].open,
-                       "shard %d: request from unopened producer %u", index_,
-                       r.producer);
-        Lane& lane = lanes_[r.producer];
-        MCDC_INVARIANT(!lane.closed,
-                       "shard %d: request from closed producer %u", index_,
-                       r.producer);
-        // Per-lane replay order: a session's stream reaches its shard as
-        // a strictly-increasing (time, seq) FIFO.
-        MCDC_INVARIANT(!lane.saw_any ||
-                           (r.time > lane.last_time && r.seq > lane.last_seq),
-                       "shard %d: lane %u order broken at t=%.12g seq=%llu",
-                       index_, r.producer, r.time,
-                       static_cast<unsigned long long>(r.seq));
-        lane.saw_any = true;
-        lane.last_time = r.time;
-        lane.last_seq = r.seq;
-        if (queue_wait_ns_ != nullptr && r.submit_ns != 0) {
-          queue_wait_ns_->record(deq_ns > r.submit_ns ? deq_ns - r.submit_ns
-                                                      : 0);
-          if (r.submit_ns < batch_min_submit_ns_) {
-            batch_min_submit_ns_ = r.submit_ns;
-          }
-          ++batch_requests_;
-        }
-        if (producers_seen_ <= 1) {
-          // Single-producer bypass: one lane is always merge-eligible, so
-          // skip the buffers and process in arrival order (the original
-          // fast path — protects the throughput gate).
-          process_record(r);
-          ++lane.retired_pending;
-        } else {
-          lane.buf.push_back(r);
-          ++merge_buffered_;
-          if (merge_buffered_ > merge_depth_max_) {
-            merge_depth_max_ = merge_buffered_;
-          }
-        }
-        break;
-      }
-    }
-  }
+  return src.drain(sink);
 }
 
 MCDC_DETERMINISTIC
@@ -644,9 +349,9 @@ bool EngineShard::process_eligible(bool flush_all) {
       // r may only be emitted if no open lane could still produce a
       // record ordered before (or tied with) it: an empty lane passes
       // when its watermark snapshot has reached r.time — everything it
-      // submitted up to that time is already demultiplexed (see run()).
+      // submitted up to that time is already drained (see run()).
       for (const Lane& lane : lanes_) {
-        if (&lane == best || !lane.open || lane.closed || !lane.buf.empty()) {
+        if (&lane == best || lane.closed || !lane.buf.empty()) {
           continue;
         }
         if (lane.wm_snap < r.time) {
@@ -668,7 +373,7 @@ MCDC_NO_ALLOC MCDC_HOT_PATH
 void EngineShard::process_record(const IngressRecord& r) {
   if (deterministic_) {
     // Merge-order contract: emitted times are non-decreasing (equal times
-    // only across distinct producers; the per-lane check in demux already
+    // only across distinct producers; the per-lane check in drain_lane already
     // guarantees strict increase within a producer).
     MCDC_INVARIANT(!saw_request_ || r.time >= last_time_seen_,
                    "shard %d merge order broken: t=%.12g after %.12g", index_,
@@ -699,7 +404,6 @@ void EngineShard::flush_retired() {
 }
 
 ServiceReport EngineShard::drain_and_finish() {
-  queue_.value.close();
   {
     const std::lock_guard<std::mutex> lk(lanes_mu_);
     stop_.store(true, std::memory_order_release);
@@ -708,31 +412,19 @@ ServiceReport EngineShard::drain_and_finish() {
   if (worker_.joinable()) worker_.join();
   joined_ = true;
   if (failure_ != nullptr) std::rethrow_exception(failure_);
-  if (queue_kind_ == QueueKind::kSpsc) {
-    // One post-quiesce snapshot: producers and the worker are both done,
-    // so the per-lane single-writer counters are plain reads here and the
-    // assembled QueueStats is trivially torn-read-free (the ring-lane
-    // analogue of the mutex queue's under-one-lock stats copy;
-    // docs/ENGINE.md "Queue statistics under ring lanes").
-    queue_stats_ = QueueStats{};
-    for (const std::unique_ptr<SpscLane>& l : spsc_lanes_) {
-      queue_stats_.enqueued += l->enqueued;
-      queue_stats_.dropped += l->dropped;
-      queue_stats_.spilled += l->spilled;
-      queue_stats_.stalls += l->stalls;
-      queue_stats_.max_depth += l->max_depth_seen;
-      queue_stats_.depth += l->ring.size_approx() +
-                            l->overflow_count.load(std::memory_order_relaxed);
-    }
-    // The mutex transport counts one kOpen + one kClose control record
-    // per producer; lanes carry the same lifecycle out of band, so the
-    // stats keep the same meaning: 2 per registered lane.
-    queue_stats_.control = 2 * spsc_lanes_.size();
-  } else {
-    // One consistent queue snapshot (taken under the queue mutex) feeds
-    // both the registry export below and ShardStats — the counters can
-    // never disagree with each other about which instant they describe.
-    queue_stats_ = queue_.value.stats();
+  // One post-quiesce snapshot: producers and the worker are both done, so
+  // the per-lane single-writer counters are plain reads here and the
+  // assembled QueueStats is torn-read-free (docs/ENGINE.md "Queue
+  // statistics under ring lanes"). It feeds both the registry export
+  // below and ShardStats.
+  queue_stats_ = QueueStats{};
+  for (const std::unique_ptr<SpscLane>& l : spsc_lanes_) {
+    queue_stats_.enqueued += l->enqueued;
+    queue_stats_.dropped += l->dropped;
+    queue_stats_.spilled += l->spilled;
+    queue_stats_.stalls += l->stalls;
+    queue_stats_.max_depth += l->max_depth_seen;
+    queue_stats_.depth += l->depth_approx();
   }
   // Arena footprint at its peak — finish() releases the recording vectors
   // into the report, so sample first.
@@ -751,15 +443,13 @@ ServiceReport EngineShard::drain_and_finish() {
 }
 
 std::size_t EngineShard::queue_depth() const {
-  if (queue_kind_ == QueueKind::kMutex) return queue_.value.depth();
   // Sampler gauge: racy by nature. The lock only guards the lane vector
   // against concurrent registration (pre-freeze); the per-lane reads are
   // atomic loads.
   const std::lock_guard<std::mutex> lk(lanes_mu_);
   std::size_t depth = 0;
   for (const std::unique_ptr<SpscLane>& l : spsc_lanes_) {
-    depth += l->ring.size_approx() +
-             l->overflow_count.load(std::memory_order_relaxed);
+    depth += l->depth_approx();
   }
   return depth;
 }
