@@ -30,7 +30,8 @@ struct EngineConfig {
 
   /// Per-lane ring capacity, in requests (string key `cap=`): each
   /// producer×shard lane gets one ring, rounded up to the next power of
-  /// two by the ring itself.
+  /// two by the ring itself. Also the largest sub-span submit_span()
+  /// stamps and pushes at a time.
   std::size_t queue_capacity = 1024;
 
   BackpressurePolicy policy = BackpressurePolicy::kBlock;

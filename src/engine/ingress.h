@@ -11,9 +11,12 @@
 // ("Ingestion sessions") derives why this keeps the N-producer run
 // bit-identical to the serial service regardless of thread interleaving.
 //
-// The submission API is BATCHED: submit_span() stamps, sequences, and
-// publishes a whole span of records with one ring publication per shard
-// touched.
+// The submission API is BATCHED: submit_span() validates a whole span,
+// then stamps, sequences, and publishes it in sub-spans of at most
+// queue_capacity records — one ring publication per shard per sub-span,
+// then one watermark advance to the sub-span's last time. Every shard gets
+// its first records after one sub-span is stamped, not after the shards
+// before it took their whole share of the span.
 //
 // Transport: one SpscLane per producer×shard — a lock-free SpscRing with
 // exactly one writer (the session) and one reader (the shard worker), so
@@ -30,6 +33,8 @@
 //    distinct threads concurrently.
 //  * All producer threads must be quiesced (joined or otherwise
 //    synchronized) before finish(); sessions must not outlive the engine.
+//    Once every session is closed, each shard worker drains its lanes and
+//    builds its own shard report; finish() only joins and merges them.
 #pragma once
 
 #include <atomic>
@@ -71,8 +76,8 @@ struct ProducerState {
   /// the watermark before draining its lane is guaranteed to have seen
   /// every record from this producer with time <= the snapshot — the
   /// merge-safety argument in docs/ENGINE.md. With submit_span the store
-  /// happens once per span (after every shard bucket is pushed), value
-  /// = the span's last time.
+  /// happens once per sub-span (after every shard bucket of that sub-span
+  /// is pushed), value = the sub-span's last time.
   std::atomic<double> watermark{0.0};
 
   std::atomic<std::uint64_t> submitted{0};
@@ -83,6 +88,7 @@ struct ProducerState {
   // Producer-thread-only (read by finish() after the quiesce contract).
   Time last_time = 0.0;
   std::uint64_t seq = 0;
+  std::uint64_t spans = 0;             ///< spans submitted; tags lane pushes
   std::uint64_t credit_throttles = 0;  ///< spans over the credit window
   std::uint64_t max_in_flight = 0;     ///< peak submitted - retired
   std::uint64_t credit_wait_ns = 0;    ///< wall time spent in throttle yields
@@ -93,9 +99,10 @@ struct ProducerState {
   std::vector<SpscLane*> lanes;
 
   /// Producer-thread-only per-shard routing buckets for submit_span:
-  /// records are stamped into their shard's bucket, then each non-empty
-  /// bucket is pushed into its lane in one operation. Capacity grows to
-  /// the largest span ever routed (amortized; no steady-state allocation).
+  /// one sub-span's records are stamped into their shard's bucket, then
+  /// each non-empty bucket is pushed into its lane in one operation.
+  /// Capacity grows to at most queue_capacity records per bucket (the
+  /// sub-span bound; amortized, no steady-state allocation).
   std::vector<std::vector<IngressRecord>> scratch;
 
   // Registry handles (created at open_producer when an observer with a
@@ -170,6 +177,9 @@ struct SpscLane {
   std::uint64_t dropped = 0;
   std::uint64_t spilled = 0;
   std::uint64_t stalls = 0;
+  /// Producer-thread-only: tag of the last span that found the ring full
+  /// (see push_span). 0 = none; tag 0 is never remembered.
+  std::uint64_t full_span = 0;
 
   /// kSpill overflow side-car: when the ring is full the producer parks
   /// records here (FIFO) instead of blocking or dropping. The mutex is
@@ -190,15 +200,24 @@ struct SpscLane {
   /// makes room, kDrop rejects the tail that does not fit, kSpill parks it
   /// in the side-car. Returns records accepted (== n except under kDrop).
   /// The lane's producer thread only.
-  std::size_t push_span(const IngressRecord* data, std::size_t n) {
+  ///
+  /// `span` tags the pushes of one span submitted in several sub-spans
+  /// (non-zero, unique per span); 0 makes this call a span of its own.
+  /// Within a tagged span kBlock counts one stall, and kDrop keeps only
+  /// the prefix that fits: once the lane dropped a record of the span, it
+  /// drops the span's later records too, so none slips in behind a gap.
+  std::size_t push_span(const IngressRecord* data, std::size_t n,
+                        std::uint64_t span = 0) {
     if (n == 0) return 0;
+    const bool span_hit_full = span != 0 && span == full_span;
     switch (policy) {
       case BackpressurePolicy::kBlock: {
         std::size_t done = ring.try_push_span(data, n);
         if (done < n) {
           // One stall episode per span. The worker always drains rings
           // (even merge-stalled or after a failure), so this terminates.
-          ++stalls;
+          if (!span_hit_full) ++stalls;
+          full_span = span;
           std::size_t spins = 0;
           while (done < n) {
             if (++spins <= kSpinYields) {
@@ -213,7 +232,9 @@ struct SpscLane {
         return n;
       }
       case BackpressurePolicy::kDrop: {
-        const std::size_t done = ring.try_push_span(data, n);
+        const std::size_t done =
+            span_hit_full ? 0 : ring.try_push_span(data, n);
+        if (done < n) full_span = span;
         dropped += n - done;
         enqueued += done;
         return done;
@@ -291,14 +312,15 @@ class IngressSession {
   std::uint32_t id() const;
 
   /// THE ingestion API: stamp, sequence, and push a whole span of records
-  /// with one lane publication per shard touched. Validation is
-  /// atomic — the entire span is checked (servers in range, times
-  /// strictly increasing within the span and beyond this session's last
-  /// time) before ANY record is pushed, so a bad span throws
-  /// std::invalid_argument with nothing partially submitted. Throws
-  /// std::logic_error once closed. An empty span is a no-op (returns 0
-  /// without starting ingest). Returns the number of records accepted:
-  /// == batch.size() unless kDrop backpressure rejected some.
+  /// with one lane publication per shard per sub-span of at most
+  /// queue_capacity records. Validation is atomic — the entire span is
+  /// checked (servers in range, times strictly increasing within the span
+  /// and beyond this session's last time) before ANY record is pushed, so
+  /// a bad span throws std::invalid_argument with nothing partially
+  /// submitted. Throws std::logic_error once closed. An empty span is a
+  /// no-op (returns 0 without starting ingest). Returns the number of
+  /// records accepted: == batch.size() unless kDrop backpressure rejected
+  /// some.
   std::size_t submit_span(std::span<const MultiItemRequest> batch);
 
   /// Announce end-of-stream: releases the merge from waiting on this

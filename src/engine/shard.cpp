@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/annotate.h"
@@ -106,8 +107,8 @@ void EngineShard::freeze_lanes() {
 
 void EngineShard::run() {
   // Lanes are registered (open_producer) strictly before the first
-  // submit; the freeze at that first submit seals the vector, so the loop
-  // below reads it without locks.
+  // submit; the freeze at that first submit seals the vector, so the
+  // drain loop reads it without locks.
   {
     std::unique_lock<std::mutex> lk(lanes_mu_);
     lanes_cv_.wait(lk, [this] {
@@ -115,143 +116,22 @@ void EngineShard::run() {
              stop_.load(std::memory_order_relaxed);
     });
   }
-  if (!lanes_frozen_.load(std::memory_order_acquire)) return;  // no ingest
+  const bool ingest = lanes_frozen_.load(std::memory_order_acquire);
   try {
-    // Telemetry branches key off this one flag; with telemetry off the
-    // loop takes no clock reads and touches none of the rings.
-    const bool tele = (spans_ != nullptr);
-    // Merge lanes mirror the registered lanes, indexed by producer id.
-    // Every producer registers on every shard, so the ids are dense.
-    producers_seen_ = spsc_lanes_.size();
-    lanes_.resize(producers_seen_);
-    for (const std::unique_ptr<SpscLane>& l : spsc_lanes_) {
-      MCDC_ASSERT(l->state->id < lanes_.size(),
-                  "shard %d: producer id %u outside the lane set", index_,
-                  l->state->id);
-      lanes_[l->state->id].state = l->state;
-    }
-    const bool single = producers_seen_ <= 1;
-    if (single) soa_.reserve(lane_capacity_ + 1);
-    bool stalled = false;
-    std::size_t idle = 0;
-    for (;;) {
-      // Closed-ness observed BEFORE the drain: a producer stores closed
-      // with release after its last push, so once we see closed here,
-      // this iteration's drain provably consumes its final records.
-      bool all_closed = true;
-      for (const std::unique_ptr<SpscLane>& l : spsc_lanes_) {
-        if (l->state->closed.load(std::memory_order_acquire)) {
-          lanes_[l->state->id].closed = true;
-        } else {
-          all_closed = false;
-        }
-      }
-      std::uint64_t t_deq = 0;
-      if (tele) {
-        t_deq = obs::telemetry_now_ns();
-        last_deq_ns_ = t_deq;
-        batch_min_submit_ns_ = ~std::uint64_t{0};
-        batch_requests_ = 0;
-      }
-      if (!single) {
-        // Merge-safety protocol: snapshot every open lane's watermark,
-        // THEN fully drain every ring (and spill side-car). The
-        // producer's watermark release-store follows its pushes, so a
-        // snapshot >= t guarantees the drain below sees every record at
-        // or before t — an empty lane with wm_snap >= t may be overtaken.
-        for (Lane& lane : lanes_) {
-          if (!lane.closed) {
-            lane.wm_snap =
-                lane.state->watermark.load(std::memory_order_acquire);
-          }
-        }
-      }
-      std::size_t total = 0;
-      soa_.clear();
-      for (const std::unique_ptr<SpscLane>& l : spsc_lanes_) {
-        total += drain_lane(*l, lanes_[l->state->id], single, last_deq_ns_);
-      }
-      if (single && soa_.size() > 0) {
-        // SoA apply: the ring slots were retired in one head store inside
-        // drain_lane (producer regains capacity immediately); now walk
-        // the dense columns. Per-record invariants already ran in the
-        // drain sink.
-        const std::size_t n = soa_.size();
-        for (std::size_t i = 0; i < n; ++i) {
-          service_.value.request(soa_.items[i], soa_.servers[i],
-                                 soa_.times[i]);
-        }
-        saw_request_ = true;
-        last_time_seen_ = soa_.times[n - 1];
-        processed_ += n;
-        batch_emitted_ += n;
-        lanes_[spsc_lanes_.front()->state->id].retired_pending += n;
-      }
-      if (total > 0) {
-        ++batch_stats_.batches;
-        batch_stats_.requests += total;
-        if (total > batch_stats_.max_batch) batch_stats_.max_batch = total;
-        if (batch_size_ != nullptr) {
-          batch_size_->observe(static_cast<double>(total));
-        }
-      }
-      if (!single || merge_buffered_ > 0) {
-        stalled = process_eligible(all_closed);
-        if (merge_depth_ != nullptr) {
-          merge_depth_->set(static_cast<double>(merge_buffered_));
-        }
-      }
-      if (tele) {
-        const std::uint64_t t_end = obs::telemetry_now_ns();
-        if (batch_requests_ > 0) {
-          const std::uint64_t dur = last_deq_ns_ > batch_min_submit_ns_
-                                        ? last_deq_ns_ - batch_min_submit_ns_
-                                        : 0;
-          spans_->push({"queue_wait", batch_min_submit_ns_, dur,
-                        batch_requests_});
-        }
-        if (total > 0) {
-          const std::uint64_t dur = t_end - t_deq;
-          apply_ns_->record(dur);
-          spans_->push({"apply", t_deq, dur, total});
-        }
-        if (stalled && stall_started_ns_ == 0) {
-          stall_started_ns_ = t_end;
-        } else if (!stalled && stall_started_ns_ != 0) {
-          const std::uint64_t dur = t_end - stall_started_ns_;
-          merge_stall_ns_->record(dur);
-          spans_->push({"merge_stall", stall_started_ns_, dur, 0});
-          stall_started_ns_ = 0;
-        }
-        if (shard_resident_bytes_ != nullptr && total > 0 &&
-            (++telemetry_batches_ % kResidentRefreshBatches) == 0) {
-          shard_resident_bytes_->set(
-              static_cast<double>(service_.value.resident_bytes()));
-        }
-      }
-      if (batch_emitted_ > 0) {
-        if (requests_ != nullptr) requests_->inc(batch_emitted_);
-        batch_emitted_ = 0;
-      }
-      flush_retired();
-      if (all_closed && total == 0 && merge_buffered_ == 0) break;
-      // Rings have no condvar: poll. Yield while the other side looks
-      // live, back off to a sleep when genuinely idle.
-      if (total == 0) {
-        if (++idle <= kSpinYields) {
-          std::this_thread::yield();
-        } else {
-          std::this_thread::sleep_for(kStallRecheck);
-        }
-      } else {
-        idle = 0;
-      }
-    }
+    if (ingest) drain_loop();
+    // Every lane is closed and drained: no record can reach this shard
+    // any more, so its report is final. Build it here, on the worker, so
+    // the shards close out their items in parallel and finish() only
+    // joins and merges. Sample the arena footprint at its peak first —
+    // finish() releases the recording vectors into the report.
+    resident_bytes_ = service_.value.resident_bytes();
+    report_ = service_.value.finish();
   } catch (...) {
     failure_ = std::current_exception();
     // Keep consuming rings and side-cars so a kBlock producer spinning on
     // a full ring cannot deadlock; the exception resurfaces from
     // drain_and_finish().
+    if (!ingest) return;  // no lanes sealed, nothing to consume
     for (;;) {
       const bool stopping = stop_.load(std::memory_order_acquire);
       std::size_t got = 0;
@@ -260,6 +140,139 @@ void EngineShard::run() {
       }
       if (stopping) break;
       if (got == 0) std::this_thread::sleep_for(kStallRecheck);
+    }
+  }
+}
+
+void EngineShard::drain_loop() {
+  // Telemetry branches key off this one flag; with telemetry off the
+  // loop takes no clock reads and touches none of the rings.
+  const bool tele = (spans_ != nullptr);
+  // Merge lanes mirror the registered lanes, indexed by producer id.
+  // Every producer registers on every shard, so the ids are dense.
+  producers_seen_ = spsc_lanes_.size();
+  lanes_.resize(producers_seen_);
+  for (const std::unique_ptr<SpscLane>& l : spsc_lanes_) {
+    MCDC_ASSERT(l->state->id < lanes_.size(),
+                "shard %d: producer id %u outside the lane set", index_,
+                l->state->id);
+    lanes_[l->state->id].state = l->state;
+  }
+  const bool single = producers_seen_ <= 1;
+  if (single) soa_.reserve(lane_capacity_ + 1);
+  bool stalled = false;
+  std::size_t idle = 0;
+  for (;;) {
+    // Closed-ness observed BEFORE the drain: a producer stores closed
+    // with release after its last push, so once we see closed here,
+    // this iteration's drain provably consumes its final records.
+    bool all_closed = true;
+    for (const std::unique_ptr<SpscLane>& l : spsc_lanes_) {
+      if (l->state->closed.load(std::memory_order_acquire)) {
+        lanes_[l->state->id].closed = true;
+      } else {
+        all_closed = false;
+      }
+    }
+    std::uint64_t t_deq = 0;
+    if (tele) {
+      t_deq = obs::telemetry_now_ns();
+      last_deq_ns_ = t_deq;
+      batch_min_submit_ns_ = ~std::uint64_t{0};
+      batch_requests_ = 0;
+    }
+    if (!single) {
+      // Merge-safety protocol: snapshot every open lane's watermark,
+      // THEN fully drain every ring (and spill side-car). The
+      // producer's watermark release-store follows its pushes, so a
+      // snapshot >= t guarantees the drain below sees every record at
+      // or before t — an empty lane with wm_snap >= t may be overtaken.
+      for (Lane& lane : lanes_) {
+        if (!lane.closed) {
+          lane.wm_snap =
+              lane.state->watermark.load(std::memory_order_acquire);
+        }
+      }
+    }
+    std::size_t total = 0;
+    soa_.clear();
+    for (const std::unique_ptr<SpscLane>& l : spsc_lanes_) {
+      total += drain_lane(*l, lanes_[l->state->id], single, last_deq_ns_);
+    }
+    if (single && soa_.size() > 0) {
+      // SoA apply: the ring slots were retired in one head store inside
+      // drain_lane (producer regains capacity immediately); now walk
+      // the dense columns. Per-record invariants already ran in the
+      // drain sink.
+      const std::size_t n = soa_.size();
+      for (std::size_t i = 0; i < n; ++i) {
+        service_.value.request(soa_.items[i], soa_.servers[i],
+                               soa_.times[i]);
+      }
+      saw_request_ = true;
+      last_time_seen_ = soa_.times[n - 1];
+      processed_ += n;
+      batch_emitted_ += n;
+      lanes_[spsc_lanes_.front()->state->id].retired_pending += n;
+    }
+    if (total > 0) {
+      ++batch_stats_.batches;
+      batch_stats_.requests += total;
+      if (total > batch_stats_.max_batch) batch_stats_.max_batch = total;
+      if (batch_size_ != nullptr) {
+        batch_size_->observe(static_cast<double>(total));
+      }
+    }
+    if (!single || merge_buffered_ > 0) {
+      stalled = process_eligible(all_closed);
+      if (merge_depth_ != nullptr) {
+        merge_depth_->set(static_cast<double>(merge_buffered_));
+      }
+    }
+    if (tele) {
+      const std::uint64_t t_end = obs::telemetry_now_ns();
+      if (batch_requests_ > 0) {
+        const std::uint64_t dur = last_deq_ns_ > batch_min_submit_ns_
+                                      ? last_deq_ns_ - batch_min_submit_ns_
+                                      : 0;
+        spans_->push({"queue_wait", batch_min_submit_ns_, dur,
+                      batch_requests_});
+      }
+      if (total > 0) {
+        const std::uint64_t dur = t_end - t_deq;
+        apply_ns_->record(dur);
+        spans_->push({"apply", t_deq, dur, total});
+      }
+      if (stalled && stall_started_ns_ == 0) {
+        stall_started_ns_ = t_end;
+      } else if (!stalled && stall_started_ns_ != 0) {
+        const std::uint64_t dur = t_end - stall_started_ns_;
+        merge_stall_ns_->record(dur);
+        spans_->push({"merge_stall", stall_started_ns_, dur, 0});
+        stall_started_ns_ = 0;
+      }
+      if (shard_resident_bytes_ != nullptr && total > 0 &&
+          (++telemetry_batches_ % kResidentRefreshBatches) == 0) {
+        shard_resident_bytes_->set(
+            static_cast<double>(service_.value.resident_bytes()));
+      }
+    }
+    if (batch_emitted_ > 0) {
+      if (requests_ != nullptr) requests_->inc(batch_emitted_);
+      batch_emitted_ = 0;
+    }
+    flush_retired();
+    if (all_closed && total == 0 && merge_buffered_ == 0) break;
+    // Rings have no condvar: poll. Yield while the other side looks
+    // live, back off to a sleep when genuinely idle.
+    if (total == 0) {
+      if (++idle <= kSpinYields) {
+        std::this_thread::yield();
+      } else {
+        std::this_thread::sleep_for(kStallRecheck);
+      }
+    } else {
+      idle = 0;
     }
   }
 }
@@ -426,10 +439,9 @@ ServiceReport EngineShard::drain_and_finish() {
     queue_stats_.max_depth += l->max_depth_seen;
     queue_stats_.depth += l->depth_approx();
   }
-  // Arena footprint at its peak — finish() releases the recording vectors
-  // into the report, so sample first.
-  resident_bytes_ = service_.value.resident_bytes();
-  ServiceReport rep = service_.value.finish();
+  // The worker built the report (and sampled resident_bytes_) before it
+  // exited; the join above publishes both.
+  ServiceReport rep = std::move(report_);
   items_ = rep.items;
   cost_ = rep.total_cost;
   if (enqueue_stalls_ != nullptr) enqueue_stalls_->inc(queue_stats_.stalls);

@@ -105,7 +105,9 @@ class EngineShard {
 
   /// Stop the worker once every lane is closed and drained, join it
   /// (rethrowing anything it threw), and return the shard's service report
-  /// (per_item ascending by item id).
+  /// (per_item ascending by item id). The worker builds that report on
+  /// its own thread as soon as every lane is closed and drained; this
+  /// call only joins, snapshots the lane statistics, and hands it over.
   ServiceReport drain_and_finish();
 
   /// Valid after drain_and_finish().
@@ -148,7 +150,11 @@ class EngineShard {
     std::uint64_t retired_pending = 0;  ///< batched into state->retired
   };
 
+  /// Worker body: wait for the lane freeze (or stop), run drain_loop(),
+  /// then build the shard report; a failure is kept for drain_and_finish().
   void run();
+  /// Drain, merge and apply until every lane is closed and empty.
+  void drain_loop();
   /// Consume everything in `src` (SpscLane::drain order): into the merge
   /// lane `ml`, or — single-producer — into the SoA scratch (telemetry
   /// off) / straight through process_record (telemetry on). `deq_ns`
@@ -204,7 +210,8 @@ class EngineShard {
   bool saw_request_ = false;
   std::size_t items_ = 0;
   Cost cost_ = 0.0;
-  std::size_t resident_bytes_ = 0;
+  std::size_t resident_bytes_ = 0;  ///< sampled by the worker at the end
+  ServiceReport report_;            ///< built by the worker at the end
   QueueStats queue_stats_;  ///< one consistent snapshot, taken at drain
 
   // Per-shard registry metrics (null without an observer registry and

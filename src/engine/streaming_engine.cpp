@@ -30,7 +30,9 @@ std::size_t StreamingEngine::shard_of(int item, int num_shards) {
 
 StreamingEngine::StreamingEngine(int num_servers, const ServingCostModel& cm,
                                  const EngineConfig& cfg)
-    : num_servers_(num_servers), credits_(cfg.producer_credits) {
+    : num_servers_(num_servers),
+      max_sub_span_(cfg.queue_capacity),
+      credits_(cfg.producer_credits) {
   if (num_servers <= 0) {
     throw std::invalid_argument("StreamingEngine: need at least one server");
   }
@@ -133,8 +135,8 @@ IngressSession StreamingEngine::open_producer() {
     }
   }
   producers_.push_back(std::move(owned));
-  // Per-shard routing buckets for submit_span (capacity grows to the
-  // largest span ever routed).
+  // Per-shard routing buckets for submit_span (capacity grows to at most
+  // one sub-span, queue_capacity records).
   p->scratch.resize(shards_.size());
   // Register this producer's lane on every shard. The lane set is sealed
   // at the first submit (freeze_once_); a closed lane is state->closed +
@@ -178,46 +180,57 @@ std::size_t StreamingEngine::submit_span_from(
     std::call_once(sampler_once_, [this] { start_sampler(); });
   }
   credit_throttle(p, tele);
-  // Wall-clock stamp feeding the queue-wait/e2e histograms — one read per
-  // span; the merge NEVER consults it (bit-identity is stamp-blind).
-  const std::uint64_t submit_ns = tele ? obs::telemetry_now_ns() : 0;
-  const int nsh = num_shards();
-  // Stamp and bucket per shard in producer-owned scratch (amortized
-  // growth to the largest span; zero steady-state allocation).
-  for (std::vector<IngressRecord>& b : p.scratch) b.clear();
-  for (const MultiItemRequest& r : batch) {
-    IngressRecord rec;
-    rec.item = r.item;
-    rec.server = r.server;
-    rec.time = r.time;
-    rec.producer = p.id;
-    rec.seq = ++p.seq;
-    rec.submit_ns = submit_ns;
-    const std::size_t s = nsh == 1 ? 0 : shard_of(r.item, nsh);
-    p.scratch[s].push_back(rec);
-  }
-  p.last_time = batch.back().time;
-  // submitted is incremented before the push so retired (worker-side)
-  // can never be observed above it.
+  // submitted is incremented before the first push so retired
+  // (worker-side) can never be observed above it.
   const std::uint64_t submitted =
       p.submitted.fetch_add(batch.size(), std::memory_order_relaxed) +
       batch.size();
+  const int nsh = num_shards();
+  const std::uint64_t span_tag = ++p.spans;
   std::size_t accepted = 0;
-  for (int s = 0; s < nsh; ++s) {
-    const std::vector<IngressRecord>& bucket = p.scratch[static_cast<std::size_t>(s)];
-    if (bucket.empty()) continue;
-    accepted += p.lanes[static_cast<std::size_t>(s)]->push_span(bucket.data(),
-                                                                bucket.size());
+  // Stamp, bucket and push one sub-span of at most queue_capacity records
+  // at a time, so every shard's worker starts on the span while the rest
+  // is still being stamped: a kBlock push spins until its bucket fits, so
+  // one bucket holding a shard's whole share of a long span would keep
+  // the other shards idle meanwhile. The scratch buckets stay bounded by
+  // queue_capacity (amortized; zero steady-state allocation).
+  for (std::size_t begin = 0; begin < batch.size(); begin += max_sub_span_) {
+    const std::span<const MultiItemRequest> sub =
+        batch.subspan(begin, std::min(max_sub_span_, batch.size() - begin));
+    // Wall-clock stamp feeding the queue-wait/e2e histograms — one read
+    // per sub-span; the merge NEVER consults it (bit-identity is
+    // stamp-blind).
+    const std::uint64_t submit_ns = tele ? obs::telemetry_now_ns() : 0;
+    for (std::vector<IngressRecord>& b : p.scratch) b.clear();
+    for (const MultiItemRequest& r : sub) {
+      IngressRecord rec;
+      rec.item = r.item;
+      rec.server = r.server;
+      rec.time = r.time;
+      rec.producer = p.id;
+      rec.seq = ++p.seq;
+      rec.submit_ns = submit_ns;
+      const std::size_t s = nsh == 1 ? 0 : shard_of(r.item, nsh);
+      p.scratch[s].push_back(rec);
+    }
+    for (int s = 0; s < nsh; ++s) {
+      const std::vector<IngressRecord>& bucket =
+          p.scratch[static_cast<std::size_t>(s)];
+      if (bucket.empty()) continue;
+      accepted += p.lanes[static_cast<std::size_t>(s)]->push_span(
+          bucket.data(), bucket.size(), span_tag);
+    }
+    // Watermark advances AFTER every bucket of the sub-span is pushed
+    // (release order): a worker that acquire-loads it and then fully
+    // drains its lane has provably seen every record from this producer
+    // with time <= the loaded value — the merge-safety protocol
+    // (docs/ENGINE.md, "Ingestion sessions"). A dropped record never
+    // arrives, so the sub-span's last time is safe even under kDrop.
+    p.watermark.store(sub.back().time, std::memory_order_release);
   }
+  p.last_time = batch.back().time;
   const std::uint64_t lost = batch.size() - accepted;
   if (lost > 0) p.dropped.fetch_add(lost, std::memory_order_relaxed);
-  // Watermark advances AFTER every bucket is pushed (release order): a
-  // worker that acquire-loads it and then fully drains its lane has
-  // provably seen every record from this producer with time <= the loaded
-  // value — the merge-safety protocol (docs/ENGINE.md, "Ingestion
-  // sessions"). One store covers the whole span (a dropped record never
-  // arrives, so the span's last time is safe even under kDrop).
-  p.watermark.store(batch.back().time, std::memory_order_release);
   const std::uint64_t in_flight = submitted -
                                   p.dropped.load(std::memory_order_relaxed) -
                                   p.retired.load(std::memory_order_relaxed);

@@ -16,9 +16,12 @@
 // number and shard workers merge the per-producer FIFOs back into one
 // time-ordered stream with a deterministic (producer_id, seq) tie-break
 // on equal timestamps. The primary submission API is the batched
-// IngressSession::submit_span() — one validation pass, one credit check,
-// one lane publication per shard touched, and one watermark advance for
-// a whole span of records. All sessions must be opened before the first
+// IngressSession::submit_span() — one validation pass and one credit
+// check for a whole span of records, then, per sub-span of at most
+// queue_capacity records, one lane publication per shard touched and one
+// watermark advance. Each shard worker builds its own ServiceReport once
+// every session is closed; finish() joins the workers and merges the
+// reports. All sessions must be opened before the first
 // submit anywhere on the engine; each session is single-threaded, and
 // distinct sessions may submit concurrently from distinct threads.
 //
@@ -82,8 +85,9 @@ class StreamingEngine {
   /// session left open.
   IngressSession open_producer();
 
-  /// Close all sessions, drain and join all workers (rethrowing the
-  /// first worker failure), and merge the per-shard reports into one
+  /// Close all sessions, join all workers (rethrowing the first worker
+  /// failure) — each drains its lanes and builds its shard report on its
+  /// own thread — and merge the per-shard reports into one
   /// ServiceReport whose per_item is ascending by item id and whose
   /// totals satisfy the finalize_report reconciliation invariant. All
   /// producer threads must be quiesced before this call.
@@ -135,11 +139,11 @@ class StreamingEngine {
   friend class IngressSession;
 
   /// The session submit path: validates the WHOLE span first (nothing is
-  /// pushed on a bad span), stamps (producer, seq), applies the soft
-  /// credit window once, buckets records per shard, pushes each bucket
-  /// into its lane in one operation, then advances the watermark once to
-  /// the span's last time. Returns records accepted (== batch.size() except
-  /// under kDrop).
+  /// pushed on a bad span) and applies the soft credit window once; then,
+  /// per sub-span of at most queue_capacity records, stamps (producer,
+  /// seq), buckets records per shard, pushes each bucket into its lane in
+  /// one operation, and advances the watermark to the sub-span's last
+  /// time. Returns records accepted (== batch.size() except under kDrop).
   std::size_t submit_span_from(ProducerState& p,
                                std::span<const MultiItemRequest> batch);
 
@@ -159,6 +163,7 @@ class StreamingEngine {
   void start_sampler();
 
   int num_servers_;
+  std::size_t max_sub_span_;  ///< EngineConfig::queue_capacity
   std::size_t credits_ = 0;
   std::size_t sample_ms_ = 0;
   std::vector<std::unique_ptr<EngineShard>> shards_;

@@ -285,6 +285,43 @@ TEST(SpscLane, BlockPolicyStallsProducerUntilDrained) {
   EXPECT_EQ(lane.dropped, 0u);
 }
 
+TEST(SpscLane, TaggedSubSpansShareTheSpansDropPrefixAndStallCount) {
+  // submit_span pushes a long span as tagged sub-spans; per lane they must
+  // behave as the one span they came from.
+  {
+    SpscLane lane(4, BackpressurePolicy::kDrop);
+    const auto recs = lane_records(1, 8);
+    EXPECT_EQ(lane.push_span(recs.data(), 3, 7), 3u);
+    EXPECT_EQ(lane.push_span(recs.data() + 3, 2, 7), 1u);  // record 5 dropped
+    lane.drain([](const IngressRecord&) {});
+    // Room again, but record 6 would land behind the gap left by 5.
+    EXPECT_EQ(lane.push_span(recs.data() + 5, 2, 7), 0u);
+    EXPECT_EQ(lane.push_span(recs.data() + 7, 1, 8), 1u);  // next span
+    EXPECT_EQ(lane.enqueued, 5u);
+    EXPECT_EQ(lane.dropped, 3u);
+  }
+  {
+    SpscLane lane(2, BackpressurePolicy::kBlock);
+    const auto recs = lane_records(1, 6);
+    std::atomic<bool> pushed{false};
+    std::thread producer([&] {
+      EXPECT_EQ(lane.push_span(recs.data(), 3, 1), 3u);
+      EXPECT_EQ(lane.push_span(recs.data() + 3, 3, 1), 3u);
+      pushed.store(true);
+    });
+    std::vector<std::uint64_t> seen;
+    while (!pushed.load() || !lane.ring.empty()) {
+      if (lane.drain([&](const IngressRecord& r) { seen.push_back(r.seq); }) ==
+          0) {
+        std::this_thread::yield();
+      }
+    }
+    producer.join();
+    EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6}));
+    EXPECT_EQ(lane.stalls, 1u);  // both sub-spans waited: one span, one stall
+  }
+}
+
 TEST(ShardOf, StableAndInRange) {
   for (int shards : {1, 2, 3, 7, 16}) {
     for (int item = -3; item < 100; ++item) {
