@@ -220,7 +220,10 @@ void EngineShard::drain_loop() {
       batch_stats_.requests += total;
       if (total > batch_stats_.max_batch) batch_stats_.max_batch = total;
       if (batch_size_ != nullptr) {
+        // queue_depth_ is registered with batch_size_: the ingest-queue
+        // depth this drain pass found.
         batch_size_->observe(static_cast<double>(total));
+        queue_depth_->set(static_cast<double>(total));
       }
     }
     if (!single || merge_buffered_ > 0) {

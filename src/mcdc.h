@@ -38,7 +38,6 @@
 #include "sim/executor.h"
 #include "sim/policies.h"
 #include "sim/policy_runner.h"
-#include "sim/predictive_policy.h"
 
 // Scenario lab: network-time simulation and adaptive window policies.
 #include "scenlab/adaptive.h"

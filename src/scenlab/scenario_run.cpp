@@ -166,9 +166,7 @@ ScenarioReport run_scenario_hom(const ScenarioConfig& cfg, const CostModel& cm,
   opt.final_factor = 0.0;
   for (const RequestSequence& seq : per_item) {
     if (seq.n() == 0) continue;
-    ScSimPolicy policy(cm, seq.origin(),
-                       cfg.epoch == 0 ? static_cast<std::size_t>(-1)
-                                      : static_cast<std::size_t>(cfg.epoch),
+    ScSimPolicy policy(cm, seq.origin(), static_cast<std::size_t>(cfg.epoch),
                        cfg.window);
     const PolicyRunResult res = run_policy(seq, cm, policy);
     sc.total += res.total_cost;

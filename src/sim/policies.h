@@ -1,9 +1,23 @@
 // Online replica-management policies for the simulator.
 //
-//  * ScSimPolicy        — the paper's Speculative Caching, re-implemented
+//  * ScSimPolicy        — the paper's Speculative Caching (§V), re-implemented
 //                         on top of the generic policy API. Intentionally a
 //                         second, independent implementation: tests require
-//                         cost equality with core/online_sc.cpp.
+//                         cost equality with core/online_sc.cpp. One set of
+//                         SC rules (refresh on use, refresh the source on a
+//                         transfer, last-copy pin, (expiry, ordinal) victim
+//                         order, epochs); only the window a refresh grants
+//                         varies, and it comes from one of three sources:
+//                           static    — factor * lambda / mu (the paper's SC),
+//                                       optionally retuned per monitoring
+//                                       interval by a WindowController
+//                                       (ScSimPolicy::adaptive);
+//                           sampled   — the classical randomized ski-rental
+//                                       window, drawn once per copy
+//                                       (ScSimPolicy::randomized);
+//                           predicted — keep for lambda / mu or drop at once,
+//                                       as a NextUseOracle predicts the next
+//                                       use (ScSimPolicy::predictive).
 //  * AlwaysMigratePolicy— one copy that follows the request stream
 //                         (transfer on every server change, never replicate).
 //  * StaticHomePolicy   — the copy never leaves the origin; remote requests
@@ -13,48 +27,19 @@
 //                         least-recently-used eviction (classic caching
 //                         transplanted into the cloud cost model; Table I's
 //                         left column).
-//  * RandomizedSkiRentalPolicy — SC with the classical randomized ski-rental
-//                         window distribution (density e^x/(e-1) on [0,1],
-//                         scaled by delta_t) instead of the fixed window.
-//  * TunableScPolicy    — SC whose speculation window and epoch length are
-//                         retuned per monitoring interval by a pluggable
-//                         WindowController (the scenario lab's adaptive
-//                         policies run through the existing policy_runner
-//                         via this adapter; see docs/SCENLAB.md).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "model/cost_model.h"
+#include "model/request.h"
 #include "sim/policy.h"
 #include "util/rng.h"
 
 namespace mcdc {
-
-class ScSimPolicy final : public OnlinePolicy {
- public:
-  ScSimPolicy(const CostModel& cm, ServerId origin,
-              std::size_t epoch_transfers = static_cast<std::size_t>(-1),
-              double speculation_factor = 1.0);
-
-  std::string name() const override { return "sc"; }
-  void on_start(ReplicaContext& ctx) override;
-  void on_request(ReplicaContext& ctx, ServerId server, RequestIndex index) override;
-  void on_wake(ReplicaContext& ctx) override;
-
- private:
-  void refresh(ReplicaContext& ctx, ServerId s);
-
-  Time delta_t_;
-  std::size_t epoch_limit_;
-  std::size_t epoch_transfers_ = 0;
-  ServerId last_request_server_;
-  std::vector<Time> expiry_;
-  std::vector<std::uint64_t> ordinal_;
-  std::uint64_t counter_ = 0;
-};
 
 class AlwaysMigratePolicy final : public OnlinePolicy {
  public:
@@ -99,6 +84,21 @@ class LruKPolicy final : public OnlinePolicy {
   std::uint64_t counter_ = 0;
 };
 
+/// Returns the predicted gap until the next request on `server`, given the
+/// current request index and time. +infinity means "no further request".
+using NextUseOracle = std::function<Time(ServerId server, RequestIndex index,
+                                         Time now)>;
+
+/// Oracle built from the ground-truth sequence with multiplicative
+/// log-normal-ish noise: predicted = actual * exp(noise * N(0,1)).
+/// noise = 0 is a perfect oracle.
+NextUseOracle make_sequence_oracle(const RequestSequence& seq, double noise,
+                                   Rng& rng);
+
+/// Oracle that predicts the opposite of the truth relative to the window
+/// (worst case for the trusting policy).
+NextUseOracle make_adversarial_oracle(const RequestSequence& seq, Time delta_t);
+
 /// What a WindowController observes over one monitoring interval. All
 /// counters cover the interval just ended, not the whole run.
 struct WindowIntervalStats {
@@ -136,36 +136,69 @@ class WindowController {
   virtual void reset() {}
 };
 
-/// SC with a runtime-tunable window: behaves exactly like ScSimPolicy at
-/// the current (factor, epoch) setting, and polls `controller` every
-/// `interval` of simulated time via self-scheduled wake-ups. A null
-/// controller makes it a static SC at the initial decision (tested to be
-/// cost-identical to ScSimPolicy).
-class TunableScPolicy final : public OnlinePolicy {
+/// Speculative Caching with a pluggable window source (see the header
+/// block). The constructor builds the static source; the named
+/// constructors build the others.
+class ScSimPolicy final : public OnlinePolicy {
  public:
-  TunableScPolicy(const CostModel& cm, ServerId origin, Time interval,
-                  WindowController* controller,
-                  WindowDecision initial = {});
+  /// Static window factor * lambda / mu; epoch_transfers = 0 means no
+  /// epoch resets.
+  ScSimPolicy(const CostModel& cm, ServerId origin,
+              std::size_t epoch_transfers = 0,
+              double speculation_factor = 1.0);
 
-  std::string name() const override {
-    return controller_ == nullptr ? "sc-tunable" : "sc-adaptive";
-  }
+  /// Sampled window: each copy, when created, draws lambda / mu *
+  /// ln(1 + u (e - 1)), u uniform on [0, 1) from `rng` (density e^x/(e-1)
+  /// scaled by lambda / mu), and keeps it for its life. No epochs.
+  static ScSimPolicy randomized(const CostModel& cm, ServerId origin, Rng& rng);
+
+  /// Predicted window: on every refresh the copy is kept for lambda / mu if
+  /// `oracle` predicts its next use within that window, dropped at once
+  /// otherwise. No epochs.
+  ///
+  /// Consistency: with perfect predictions it never pays for a wasted
+  /// speculative window (saving up to lambda per drop). Robustness: a wrong
+  /// "drop" costs one extra transfer lambda where SC would have paid the
+  /// wasted window lambda anyway; bench_predictions measures the trade-off
+  /// as prediction noise grows.
+  static ScSimPolicy predictive(const CostModel& cm, ServerId origin,
+                                NextUseOracle oracle);
+
+  /// Static window at `initial`, retuned every `interval` of simulated time
+  /// by `controller` via self-scheduled wake-ups. A null controller keeps
+  /// the initial decision for the whole run.
+  static ScSimPolicy adaptive(const CostModel& cm, ServerId origin,
+                              Time interval, WindowController* controller,
+                              WindowDecision initial = {});
+
+  std::string name() const override { return name_; }
   void on_start(ReplicaContext& ctx) override;
   void on_request(ReplicaContext& ctx, ServerId server, RequestIndex index) override;
   void on_wake(ReplicaContext& ctx) override;
 
-  double current_factor() const { return decision_.factor; }
-  std::size_t current_epoch() const { return decision_.epoch_transfers; }
-
  private:
-  Time window() const { return decision_.factor * delta_base_; }
-  void refresh(ReplicaContext& ctx, ServerId s);
+  enum class Source : std::uint8_t { kStatic, kSampled, kPredicted };
+
+  /// The window a refresh of `s` grants; `new_copy` marks the copy's
+  /// creation (the sampled source draws then).
+  Time window(ReplicaContext& ctx, ServerId s, RequestIndex index,
+              bool new_copy);
+  void refresh(ReplicaContext& ctx, ServerId s, RequestIndex index,
+               bool new_copy = false);
+  void drop_due_copies(ReplicaContext& ctx) const;
+  void set_decision(WindowDecision decision);
   void monitor_tick(ReplicaContext& ctx);
 
+  const char* name_ = "sc";
+  Source source_ = Source::kStatic;
   Time delta_base_;  ///< lambda / mu
-  Time interval_;
-  WindowController* controller_;
+  Time delta_t_;     ///< static window at the current decision
   WindowDecision decision_;
+  Rng* rng_ = nullptr;           ///< sampled source
+  std::vector<Time> sampled_;    ///< sampled source: each copy's window
+  NextUseOracle oracle_;         ///< predicted source
+  WindowController* controller_ = nullptr;
+  Time interval_ = 0.0;
   Time next_monitor_ = 0.0;
   std::size_t epoch_transfers_ = 0;
   ServerId last_request_server_;
@@ -176,27 +209,6 @@ class TunableScPolicy final : public OnlinePolicy {
   WindowIntervalStats tick_;  ///< accumulates over the current interval
   std::vector<std::uint64_t> pair_mark_;  ///< active_pairs dedup per interval
   std::uint64_t tick_id_ = 0;
-};
-
-class RandomizedSkiRentalPolicy final : public OnlinePolicy {
- public:
-  RandomizedSkiRentalPolicy(const CostModel& cm, ServerId origin, Rng& rng);
-  std::string name() const override { return "rand-ski"; }
-  void on_start(ReplicaContext& ctx) override;
-  void on_request(ReplicaContext& ctx, ServerId server, RequestIndex index) override;
-  void on_wake(ReplicaContext& ctx) override;
-
- private:
-  double sample_window();
-  void refresh(ReplicaContext& ctx, ServerId s);
-
-  Time delta_t_;
-  Rng* rng_;
-  ServerId last_request_server_;
-  std::vector<Time> expiry_;
-  std::vector<Time> window_;
-  std::vector<std::uint64_t> ordinal_;
-  std::uint64_t counter_ = 0;
 };
 
 }  // namespace mcdc

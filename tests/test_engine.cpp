@@ -553,6 +553,33 @@ TEST(StreamingEngine, MetricsRollUpIntoSharedRegistry) {
   }
 }
 
+TEST(StreamingEngine, QueueDepthGaugeReadsDrainedDepthWhileRunning) {
+  // The registry gauge engine_shard<i>_queue_depth carries the depth the
+  // worker's last non-empty drain pass found, so it reads non-zero while
+  // the engine runs (finish() resets it to 0).
+  const CostModel cm(1.0, 1.0);
+  const auto stream = make_stream(31, 3, 6, 300);
+  obs::MetricsRegistry reg;
+  obs::Observer observer(&reg);
+  EngineConfig cfg;
+  cfg.num_shards = 1;
+  cfg.service_options.observer = &observer;
+  StreamingEngine engine(3, cm, cfg);
+  const obs::Gauge& depth = reg.gauge("engine_shard0_queue_depth");
+  IngressSession session = engine.open_producer();
+  session.submit_span(std::span<const MultiItemRequest>(stream));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (depth.value() == 0.0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(depth.value(), 0.0);
+  EXPECT_LE(depth.value(), static_cast<double>(stream.size()));
+  session.close();
+  engine.finish();
+  EXPECT_EQ(depth.value(), 0.0);
+}
+
 TEST(IngressSession, SingleSessionMatchesSerialAndLifecycleErrors) {
   const CostModel cm(1.0, 1.0);
   const auto stream = make_stream(29, 3, 7, 400);

@@ -6,13 +6,13 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "core/offline_dp.h"
 #include "core/online_sc.h"
 #include "model/schedule_validator.h"
 #include "sim/executor.h"
 #include "sim/policies.h"
-#include "sim/predictive_policy.h"
 #include "sim/policy_runner.h"
 #include "util/rng.h"
 
@@ -72,7 +72,7 @@ TEST(PolicyRunner, ScPolicyMatchesCoreWithWiderWindow) {
     SpeculativeCachingOptions opt;
     opt.speculation_factor = 4.0;
     const auto core = run_speculative_caching(seq, cm, opt);
-    ScSimPolicy policy(cm, seq.origin(), static_cast<std::size_t>(-1), 4.0);
+    ScSimPolicy policy(cm, seq.origin(), 0, 4.0);
     const auto sim = run_policy(seq, cm, policy);
     ASSERT_TRUE(sim.feasible);
     EXPECT_NEAR(sim.total_cost, core.total_cost, 1e-7) << seq.to_string();
@@ -140,21 +140,21 @@ TEST(Policies, LruOneIsMigration) {
 }
 
 TEST(Policies, TunableScWithNullControllerMatchesSc) {
-  // The scenario lab's adapter at a fixed decision IS the SC policy: with
-  // no controller attached it must reproduce ScSimPolicy cost-exactly,
+  // The adaptive window source at a fixed decision IS the static SC
+  // policy: with no controller attached it must reproduce it cost-exactly,
   // across window factors and epoch lengths.
   Rng rng(31);
   const CostModel cm(1.0, 2.0);
   for (int inst = 0; inst < 20; ++inst) {
     const auto seq = random_sequence(rng, 5, 50, 0.7);
     const double factor = 0.5 + 0.5 * (inst % 4);
-    const std::size_t epoch =
-        inst % 2 == 0 ? static_cast<std::size_t>(-1) : 6;
+    const std::size_t epoch = inst % 2 == 0 ? 0 : 6;
     ScSimPolicy sc(cm, seq.origin(), epoch, factor);
     WindowDecision initial;
     initial.factor = factor;
     initial.epoch_transfers = inst % 2 == 0 ? 0 : 6;
-    TunableScPolicy tunable(cm, seq.origin(), 0.0, nullptr, initial);
+    auto tunable =
+        ScSimPolicy::adaptive(cm, seq.origin(), 0.0, nullptr, initial);
     const auto a = run_policy(seq, cm, sc);
     const auto b = run_policy(seq, cm, tunable);
     ASSERT_TRUE(a.feasible);
@@ -165,18 +165,20 @@ TEST(Policies, TunableScWithNullControllerMatchesSc) {
   }
 }
 
+/// Pins the speculation factor at 0.25 from the first interval on.
+struct PinLowController final : WindowController {
+  WindowDecision on_interval(const WindowIntervalStats&,
+                             const WindowDecision& current) override {
+    WindowDecision d = current;
+    d.factor = 0.25;
+    return d;
+  }
+};
+
 TEST(Policies, TunableScAppliesControllerDecisions) {
   // A controller that pins the factor low must change costs relative to
   // the static policy on a stream with re-use gaps between 0.25x and 1x
   // of the base window.
-  struct PinLow final : WindowController {
-    WindowDecision on_interval(const WindowIntervalStats&,
-                               const WindowDecision& current) override {
-      WindowDecision d = current;
-      d.factor = 0.25;
-      return d;
-    }
-  };
   const CostModel cm(1.0, 2.0);  // base window 2.0
   std::vector<Request> reqs;
   Time t = 0.0;
@@ -186,8 +188,8 @@ TEST(Policies, TunableScAppliesControllerDecisions) {
   }
   const RequestSequence seq(2, std::move(reqs));
   ScSimPolicy sc(cm, seq.origin());
-  PinLow controller;
-  TunableScPolicy tunable(cm, seq.origin(), 1.0, &controller);
+  PinLowController controller;
+  auto tunable = ScSimPolicy::adaptive(cm, seq.origin(), 1.0, &controller);
   const auto a = run_policy(seq, cm, sc);
   const auto b = run_policy(seq, cm, tunable);
   ASSERT_TRUE(a.feasible);
@@ -207,7 +209,7 @@ TEST(Policies, TunableScRejectsControllerWithoutInterval) {
   };
   const CostModel cm(1.0, 1.0);
   Noop controller;
-  EXPECT_THROW(TunableScPolicy(cm, 0, 0.0, &controller),
+  EXPECT_THROW(ScSimPolicy::adaptive(cm, 0, 0.0, &controller),
                std::invalid_argument);
 }
 
@@ -217,7 +219,7 @@ TEST(Policies, RandomizedSkiRentalFeasibleAndBounded) {
   const CostModel cm(1.0, 1.0);
   for (int inst = 0; inst < 15; ++inst) {
     const auto seq = random_sequence(rng, 4, 50);
-    RandomizedSkiRentalPolicy policy(cm, seq.origin(), policy_rng);
+    auto policy = ScSimPolicy::randomized(cm, seq.origin(), policy_rng);
     const auto res = run_policy(seq, cm, policy);
     ASSERT_TRUE(res.feasible) << res.violations.front();
     const auto v = validate_schedule(res.schedule, seq);
@@ -241,7 +243,8 @@ TEST(Policies, AllPoliciesProduceValidSchedules) {
   policies.push_back(std::make_unique<StaticHomePolicy>(seq.origin()));
   policies.push_back(std::make_unique<FullReplicationPolicy>(seq.origin()));
   policies.push_back(std::make_unique<LruKPolicy>(seq.m(), seq.origin(), 3));
-  policies.push_back(std::make_unique<RandomizedSkiRentalPolicy>(cm, seq.origin(), prng));
+  policies.push_back(std::make_unique<ScSimPolicy>(
+      ScSimPolicy::randomized(cm, seq.origin(), prng)));
   for (auto& p : policies) {
     const auto res = run_policy(seq, cm, *p);
     ASSERT_TRUE(res.feasible) << p->name() << ": " << res.violations.front();
@@ -343,8 +346,8 @@ TEST(PredictiveSc, PerfectOracleFeasibleAndNoWorseThanSc) {
   double pred_total = 0.0, sc_total = 0.0;
   for (int inst = 0; inst < 20; ++inst) {
     const auto seq = random_sequence(rng, 5, 60);
-    PredictiveScPolicy policy(cm, seq.origin(),
-                              make_sequence_oracle(seq, 0.0, dummy));
+    auto policy = ScSimPolicy::predictive(cm, seq.origin(),
+                                          make_sequence_oracle(seq, 0.0, dummy));
     const auto res = run_policy(seq, cm, policy);
     ASSERT_TRUE(res.feasible) << res.violations.front();
     const auto v = validate_schedule(res.schedule, seq);
@@ -362,7 +365,7 @@ TEST(PredictiveSc, AdversarialOracleStillFeasible) {
   const CostModel cm(1.0, 1.0);
   for (int inst = 0; inst < 10; ++inst) {
     const auto seq = random_sequence(rng, 4, 40);
-    PredictiveScPolicy policy(
+    auto policy = ScSimPolicy::predictive(
         cm, seq.origin(), make_adversarial_oracle(seq, cm.speculation_window()));
     const auto res = run_policy(seq, cm, policy);
     ASSERT_TRUE(res.feasible) << res.violations.front();
@@ -379,6 +382,136 @@ TEST(PredictiveSc, OracleGapsAreCorrect) {
   EXPECT_NEAR(oracle(1, 1, 1.0), 4.0, 1e-12);   // next use of s2 after t=1
   EXPECT_NEAR(oracle(0, 0, 0.5), 1.5, 1e-12);
   EXPECT_TRUE(std::isinf(oracle(0, 3, 3.0)));   // no more requests on s1
+}
+
+// ---------------- Pinned costs of the SC window sources ----------------
+//
+// Exact total cost, transfer count and hit count of the rand-ski,
+// predictive-sc and sc-adaptive windows on seeded random sequences. All of
+// them run the same SC rules (refresh on use and on transfer, sourcing,
+// last-copy pin, (expiry, ordinal) victim order); a change to those rules,
+// to the wake-ups a policy schedules or to the order of its random draws
+// moves these values.
+
+struct PinnedRun {
+  double total_cost;
+  std::size_t transfers;
+  std::size_t hits;
+};
+
+/// Runs `make(seq)` through run_policy on one seeded random sequence per
+/// entry of `want` and checks each result exactly.
+template <typename MakePolicy>
+void expect_pinned_runs(std::uint64_t seed, const CostModel& cm,
+                        const std::vector<PinnedRun>& want, MakePolicy make) {
+  Rng rng(seed);
+  for (std::size_t inst = 0; inst < want.size(); ++inst) {
+    const auto seq = random_sequence(rng, 5, 60, 0.8);
+    auto policy = make(seq);
+    const auto res = run_policy(seq, cm, policy);
+    ASSERT_TRUE(res.feasible) << res.violations.front();
+    EXPECT_DOUBLE_EQ(res.total_cost, want[inst].total_cost)
+        << "instance " << inst;
+    EXPECT_EQ(res.transfers, want[inst].transfers) << "instance " << inst;
+    EXPECT_EQ(res.hits, want[inst].hits) << "instance " << inst;
+  }
+}
+
+TEST(PinnedScCosts, RandomizedSkiRental) {
+  const CostModel cm(1.0, 1.5);
+  Rng policy_rng(99);
+  expect_pinned_runs(101, cm, {
+      {198.04376703075144, 49, 11},
+      {188.41010095842142, 43, 17},
+      {161.67806067384578, 42, 18},
+      {181.40793070999686, 44, 16},
+      {153.93949570170059, 34, 26},
+      {173.77648607669417, 41, 19},
+      {157.6889462726183, 41, 19},
+      {163.71727395134772, 40, 20},
+      {174.23735456426806, 38, 22},
+      {155.20834169864236, 40, 20}
+  }, [&](const RequestSequence& seq) {
+    return ScSimPolicy::randomized(cm, seq.origin(), policy_rng);
+  });
+}
+
+TEST(PinnedScCosts, PredictivePerfectOracle) {
+  const CostModel cm(0.8, 1.3);
+  Rng dummy(1);
+  expect_pinned_runs(102, cm, {
+      {118.84501254979898, 44, 16},
+      {125.72659455823364, 40, 20},
+      {107.87306465814756, 41, 19},
+      {99.808123999284533, 34, 26},
+      {104.2902977442303, 39, 21},
+      {106.07275016130059, 37, 23},
+      {102.85711131378773, 39, 21},
+      {115.76643388179127, 40, 20},
+      {114.17952740944733, 35, 25},
+      {105.23121834159845, 36, 24}
+  }, [&](const RequestSequence& seq) {
+    return ScSimPolicy::predictive(cm, seq.origin(),
+                                   make_sequence_oracle(seq, 0.0, dummy));
+  });
+}
+
+TEST(PinnedScCosts, PredictiveNoisyOracle) {
+  const CostModel cm(0.8, 1.3);
+  Rng noise_rng(7);
+  expect_pinned_runs(103, cm, {
+      {109.69318593417478, 38, 22},
+      {104.31487234790491, 38, 22},
+      {99.638036892241018, 37, 23},
+      {109.22779957025321, 39, 21},
+      {110.37992210562687, 37, 23},
+      {94.841456348438442, 33, 27},
+      {110.92147651618777, 39, 21},
+      {118.12764143235776, 40, 20},
+      {126.98576522860228, 43, 17},
+      {90.624923883057519, 33, 27}
+  }, [&](const RequestSequence& seq) {
+    return ScSimPolicy::predictive(cm, seq.origin(),
+                                   make_sequence_oracle(seq, 0.5, noise_rng));
+  });
+}
+
+TEST(PinnedScCosts, PredictiveAdversarialOracle) {
+  const CostModel cm(0.8, 1.3);
+  expect_pinned_runs(104, cm, {
+      {178.81637815279208, 57, 3},
+      {188.44157722526359, 55, 5},
+      {183.87905081162421, 57, 3},
+      {178.61507822690157, 56, 4},
+      {166.5077140813238, 54, 6},
+      {178.71836106132349, 56, 4},
+      {178.62998677602832, 50, 10},
+      {166.90155546837556, 54, 6},
+      {186.77457677519865, 54, 6},
+      {172.37611859228207, 55, 5}
+  }, [&](const RequestSequence& seq) {
+    return ScSimPolicy::predictive(
+        cm, seq.origin(), make_adversarial_oracle(seq, cm.speculation_window()));
+  });
+}
+
+TEST(PinnedScCosts, AdaptivePinLowController) {
+  const CostModel cm(1.0, 2.0);
+  PinLowController controller;
+  expect_pinned_runs(105, cm, {
+      {195.6795638174093, 46, 14},
+      {173.72177540170549, 45, 15},
+      {181.1184460277187, 46, 14},
+      {203.81600123427785, 48, 12},
+      {188.18170187754981, 42, 18},
+      {189.74889735707532, 44, 16},
+      {182.64587118220845, 43, 17},
+      {184.29074376669658, 47, 13},
+      {181.70014481788633, 46, 14},
+      {180.00653173118715, 45, 15}
+  }, [&](const RequestSequence& seq) {
+    return ScSimPolicy::adaptive(cm, seq.origin(), 1.0, &controller);
+  });
 }
 
 // ---------------- Schedule executor ----------------
